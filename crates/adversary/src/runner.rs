@@ -73,8 +73,9 @@ fn parse_kill(err: &str) -> (Option<StageKind>, String) {
 /// named instruction class instead of as an opaque FPS divergence, and
 /// the static bound analysis runs before FPS so a firmware whose
 /// resource envelope is unprovable never reaches the simulator.
-/// `threads` is the FPS segment-worker budget for this mutant.
-pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, threads: usize) -> MutantReport {
+///
+/// `_threads` is ignored; it goes in the next benchmark change.
+pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, _threads: usize) -> MutantReport {
     let t0 = Instant::now();
     let app = (m.build)();
     let obs = FpsObserver { telemetry: pipeline.tel.clone(), heartbeat_cycles: 0, cell: 0 };
@@ -84,7 +85,7 @@ pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, threads: usize) -> MutantRe
         .and_then(|_| pipeline.bound_stage(&app, m.cpu, m.opt).map(|_| ()))
         .and_then(|_| {
             pipeline
-                .run_fps(&app, m.cpu, m.opt, &obs, threads, MUTANT_FPS_TIMEOUT)
+                .run_fps(&app, m.cpu, m.opt, &obs, 1, MUTANT_FPS_TIMEOUT)
                 .map(|_| ())
                 .map_err(|e| format!("[fps] {e}"))
         });
@@ -103,10 +104,8 @@ pub fn run_mutant(pipeline: &Pipeline, m: &Mutation, threads: usize) -> MutantRe
 
 /// Run a set of mutations, fanning mutants out over the thread budget.
 ///
-/// Each mutant runs its FPS single-segment (mutants die in a few
-/// thousand cycles; the parallelism that pays is across mutants, not
-/// within one). The shared certificate cache is consulted per stage, so
-/// tamper-only mutants reuse the clean software certificates.
+/// The shared certificate cache is consulted per stage, so tamper-only
+/// mutants reuse the clean software certificates.
 pub fn run_catalog(pipeline: &Pipeline, muts: &[Mutation], threads: usize) -> Vec<MutantReport> {
     let indices: Vec<usize> = (0..muts.len()).collect();
     parallel_map(threads.max(1), indices, move |_, i| run_mutant(pipeline, &muts[i], 1))

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use parfait_bench::{json_output_path, render_table, threads_arg, write_json, App};
+use parfait_bench::{json_output_path, render_table, write_json, App};
 use parfait_hsms::platform::Cpu;
 use parfait_knox2::FpsObserver;
 use parfait_littlec::codegen::OptLevel;
@@ -21,7 +21,6 @@ use parfait_telemetry::json::Json;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = threads_arg();
     let matrix: Vec<(App, Cpu)> = if quick {
         vec![(App::Hasher, Cpu::Ibex)]
     } else {
@@ -49,9 +48,8 @@ fn main() {
             parfait_telemetry::Telemetry::disabled(),
         );
         let t0 = Instant::now();
-        let cold = cold_pipeline
-            .verify_cell(&a, cpu, opt, &obs, threads)
-            .expect("cold verification passes");
+        let cold =
+            cold_pipeline.verify_cell(&a, cpu, opt, &obs, 1).expect("cold verification passes");
         let cold_wall = t0.elapsed();
         assert!(!cold.fully_cached(), "first run against a fresh cache must be cold");
 
@@ -62,9 +60,8 @@ fn main() {
             parfait_telemetry::Telemetry::disabled(),
         );
         let t0 = Instant::now();
-        let warm = warm_pipeline
-            .verify_cell(&a, cpu, opt, &obs, threads)
-            .expect("warm verification passes");
+        let warm =
+            warm_pipeline.verify_cell(&a, cpu, opt, &obs, 1).expect("warm verification passes");
         let warm_wall = t0.elapsed();
         assert!(warm.fully_cached(), "second run must hit the cache in every stage");
         assert_eq!(
@@ -107,15 +104,12 @@ fn main() {
     println!("warm runs hit the on-disk certificate cache in every stage; certificates");
     println!("are byte-identical to the cold run's (asserted above).");
     if let Some(path) = json_output_path() {
-        let doc = Json::obj([
-            ("artifact", Json::str("bench_pipeline")),
-            ("threads", Json::Int(threads as i64)),
-            ("rows", Json::Arr(json_rows)),
-        ]);
+        let doc =
+            Json::obj([("artifact", Json::str("bench_pipeline")), ("rows", Json::Arr(json_rows))]);
         write_json(&path, &doc).expect("write --json output");
         eprintln!("wrote {}", path.display());
     }
     // `--metrics <path>` writes the run manifest (bin, build id,
     // env knobs, metrics snapshot); absent flag is a no-op.
-    parfait_bench::emit_manifest("bench_pipeline", threads, 0);
+    parfait_bench::emit_manifest("bench_pipeline", 1, 0);
 }

@@ -4,12 +4,12 @@
 //!
 //! 1. **lint**: the full static constant-time analysis of the hasher
 //!    at `-O2` (IR taint + sparse assembly fixpoint).
-//! 2. **fps**: the hasher's FPS hardware check on both platforms at
-//!    two checker threads (exercising the producer/verifier split, the
-//!    pre-decoded instruction cache, and the firmware-build memo —
-//!    the second platform must reuse the first platform's build). Each
-//!    check first runs the static bound analysis that prices its cycle
-//!    budget, so the `bound_` coverage counters are gated here too.
+//! 2. **fps**: the hasher's FPS hardware check on both platforms
+//!    (exercising the pre-decoded instruction cache and the
+//!    firmware-build memo — the second platform must reuse the first
+//!    platform's build). Each check first runs the static bound
+//!    analysis that prices its cycle budget, so the `bound_` coverage
+//!    counters are gated here too.
 //! 3. **contract**: the per-instruction-class stimulus battery that
 //!    holds both cores to their declared leakage contracts (stimulus
 //!    coverage is gated higher-is-better, wall under a ceiling).
@@ -37,10 +37,6 @@ use parfait_pipeline::{CertCache, Pipeline};
 use parfait_telemetry::json::Json;
 use parfait_telemetry::metrics::Metrics;
 use parfait_telemetry::Telemetry;
-
-/// FPS checker threads for the fixed workload. Two: the smallest
-/// count that exercises the producer/verifier pipeline.
-const FPS_THREADS: usize = 2;
 
 fn usage() -> u8 {
     eprintln!("usage: perfstat --baseline <path> [--update] [--json <path>] [--metrics <path>]");
@@ -87,7 +83,6 @@ fn run_workloads() -> Result<Measurement, String> {
 
     // -- workload 2: FPS hardware checks, both platforms, cache off
     let cycles0 = counter("fps_cycles_total", &[]);
-    let prepass0 = counter("fps_prepass_cycles_total", &[]);
     let hit0 = counter("decode_cache_hit", &[]);
     let miss0 = counter("decode_cache_miss", &[]);
     let builds_hit0 = counter("pipeline_firmware_builds_total", &[("outcome", "hit")]);
@@ -106,15 +101,13 @@ fn run_workloads() -> Result<Measurement, String> {
     let bound_loops0 = bound_sum("bound_loops_total");
     let t0 = Instant::now();
     for cpu in [Cpu::Ibex, Cpu::Pico] {
-        eprintln!("perfstat: fps {}/{cpu} at -O2, {FPS_THREADS} threads...", app.name);
+        eprintln!("perfstat: fps {}/{cpu} at -O2...", app.name);
         pipeline
-            .fps_stage(&app, cpu, OptLevel::O2, &FpsObserver::default(), FPS_THREADS)
+            .fps_stage(&app, cpu, OptLevel::O2, &FpsObserver::default())
             .map_err(|e| format!("fps workload ({cpu}): {e}"))?;
     }
     m.walls.insert("fps_s".into(), t0.elapsed().as_secs_f64());
     m.counters.insert("fps_cycles".into(), counter("fps_cycles_total", &[]) - cycles0);
-    m.counters
-        .insert("fps_producer_cycles".into(), counter("fps_prepass_cycles_total", &[]) - prepass0);
     let hits = counter("decode_cache_hit", &[]) - hit0;
     let misses = counter("decode_cache_miss", &[]) - miss0;
     let rate_ppm = (hits * 1_000_000).checked_div(hits + misses).unwrap_or(0);
@@ -149,7 +142,7 @@ fn run_workloads() -> Result<Measurement, String> {
 
 fn main() -> ExitCode {
     let code = run();
-    emit_manifest("perfstat", FPS_THREADS, i32::from(code));
+    emit_manifest("perfstat", 1, i32::from(code));
     ExitCode::from(code)
 }
 

@@ -5,8 +5,7 @@
 //!
 //! The platform × app matrix fans out across the thread budget
 //! (`--threads <n>`, or `PARFAIT_THREADS`, default: available
-//! parallelism), and each case's FPS check runs with its share of the
-//! budget via the snapshot-fork parallel checker.
+//! parallelism), one FPS check per case.
 //!
 //! `--quick` verifies only the password hasher (the ECDSA runs take
 //! minutes, like the paper's 80-100 core-hour runs took hours).
@@ -36,7 +35,6 @@ fn main() {
         .flat_map(|cpu| apps.iter().map(move |&app| (cpu, app)))
         .collect();
     let cases = matrix.len();
-    let threads_per_case = (threads / cases).max(1);
     let pipeline = Pipeline::from_env(parfait_telemetry::Telemetry::disabled());
     let pipeline = &pipeline;
     let obs = FpsObserver::default();
@@ -44,7 +42,7 @@ fn main() {
     let outcomes = parallel_map(cases.min(threads), matrix, move |_, (cpu, app)| {
         let t0 = Instant::now();
         let outcome = pipeline
-            .fps_stage(&app.pipeline(), cpu, OptLevel::O2, obs, threads_per_case)
+            .fps_stage(&app.pipeline(), cpu, OptLevel::O2, obs)
             .expect("verification passes");
         (cpu, app, outcome, t0.elapsed())
     });
@@ -102,10 +100,7 @@ fn main() {
             &rows
         )
     );
-    println!(
-        "({} case(s) across {} thread(s), {} FPS thread(s) per case)",
-        cases, threads, threads_per_case
-    );
+    println!("({cases} case(s) across {threads} thread(s))");
     println!("Paper shape to check: ECDSA >> hasher verification time; the PicoRV32");
     println!("needs more total cycles (multi-cycle core) while simulating each cycle");
     println!("faster than the pipelined Ibex; porting = only the 10-line mapping.");

@@ -227,11 +227,8 @@ fn run(threads_used: &mut usize) -> u8 {
         }
     }
     if hardware {
-        // The matrix level of the parallel pipeline: independent
-        // platform checks fan out across the thread budget, and each
-        // check splits its share across FPS segment workers.
+        // Independent platform checks fan out across the thread budget.
         let cases = hw_cells.len();
-        let threads_per_case = (threads / cases).max(1);
         let (a, pipeline, tel, view) = (&a, &pipeline, &tel, &view);
         let outcomes = parallel_map(cases.min(threads), hw_cells, move |_, (cpu, cell)| {
             // Execution order mirrors `verify_cell`: the cheap contract
@@ -252,7 +249,7 @@ fn run(threads_used: &mut usize) -> u8 {
                 }
                 let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles, cell };
                 pipeline
-                    .fps_stage_bounded(a, cpu, opt, &obs, threads_per_case, &bound)
+                    .fps_stage_bounded(a, cpu, opt, &obs, 1, &bound)
                     .map(|fps| (contract, bound, fps))
             });
             (cpu, cell, outcome)

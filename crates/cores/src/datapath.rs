@@ -64,8 +64,8 @@ pub enum Fault {
 /// The cycle-steppable CPU interface the SoC and Knox2 use.
 ///
 /// Cores are plain data (`Send`) and cheaply snapshottable via
-/// [`Core::clone_box`], so the parallel FPS checker can fork a SoC at a
-/// quiescent point and verify segments on worker threads.
+/// [`Core::clone_box`], so a whole SoC can be forked (the crash-safety
+/// sweeps fork one per power cut).
 pub trait Core: Send {
     /// Advance one clock cycle.
     fn step(&mut self, mem: &mut dyn MemIf);

@@ -9,8 +9,8 @@
 //! to the least recently used deque, a worker pops its own deque LIFO
 //! (cache-warm), and an idle worker steals FIFO from a victim (oldest
 //! job first, the classic stealing discipline). Jobs here are coarse —
-//! whole verification segments or whole case studies, milliseconds to
-//! minutes each — so the queues share one mutex; the stealing structure
+//! whole matrix cells, mutants or stage nodes, milliseconds to minutes
+//! each — so the queues share one mutex; the stealing structure
 //! is about load balance, not about shaving nanoseconds off `push`.
 //!
 //! Panics inside jobs do not poison the pool: the first panic payload is

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use parfait::levels::Level;
 use parfait_hsms::platform::{build_firmware_parts, make_soc_with, Cpu};
 use parfait_hsms::syssw;
-use parfait_knox2::{check_fps_parallel, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
+use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsConfig, FpsObserver, FpsReport};
 use parfait_littlec::codegen::OptLevel;
 use parfait_littlec::validate::{asm_machine, validate_handle_patched};
 use parfait_parallel::parallel_map;
@@ -161,8 +161,8 @@ impl Pipeline {
         flight.complete(&certificate);
         let wall = t0.elapsed();
         wall_us.record_duration(wall);
-        // CPU time: the parallel FPS checker reports aggregate worker
-        // busy time; single-threaded stages are their own wall time.
+        // CPU time: FPS reports the check's own busy time; every other
+        // stage is its own wall time.
         cpu_us.record_duration(fps.as_ref().map(|r| r.cpu).unwrap_or(wall));
         Ok(StageOutcome { certificate, wall, cache_hit: false, fps })
     }
@@ -613,22 +613,23 @@ impl Pipeline {
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
     ) -> Result<StageOutcome, String> {
         let bound = self.bound_stage(app, cpu, opt)?;
-        self.fps_stage_bounded(app, cpu, opt, obs, threads, &bound)
+        self.fps_stage_bounded(app, cpu, opt, obs, 1, &bound)
     }
 
     /// [`fps_stage`](Self::fps_stage) against an already-verified
     /// bound certificate (the seam `verify_cell` uses, so the bound
     /// stage runs exactly once per cell).
+    ///
+    /// `_threads` is ignored; it goes in the next benchmark change.
     pub fn fps_stage_bounded(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
+        _threads: usize,
         bound: &StageOutcome,
     ) -> Result<StageOutcome, String> {
         let wcet = bound.certificate.stat("wcet_cycles").filter(|&w| w > 0).map(|w| w as u64);
@@ -640,8 +641,7 @@ impl Pipeline {
         let cpu_label = cpu.to_string();
         let claim = (Level::Asm.label(Some(&opt_label)), Level::Soc.label(Some(&cpu_label)));
         let outcome = self.run_stage(StageKind::Fps, &app.slug, claim, inputs, || {
-            let (report, stack_min) =
-                self.run_fps_watermarked(app, cpu, opt, obs, threads, timeout)?;
+            let (report, stack_min) = self.run_fps_watermarked(app, cpu, opt, obs, timeout)?;
             let mut stats = vec![
                 ("cycles".into(), report.cycles as i64),
                 ("commands".into(), report.commands as i64),
@@ -681,8 +681,8 @@ impl Pipeline {
     ///
     /// The compile is deterministic in (app source, system software
     /// source, opt level), and `run_fps` recompiles it for every bench
-    /// leg, every CPU of a matrix row, and every thread count of a
-    /// scaling sweep — identical work each time, dominating FPS setup.
+    /// leg and every CPU of a matrix row — identical work each time,
+    /// dominating FPS setup.
     /// Tampered builds never consult the memo: their patches are
     /// arbitrary closures whose effect is not captured by the key.
     /// Hits and misses land in `pipeline_firmware_builds_total{outcome}`
@@ -726,31 +726,30 @@ impl Pipeline {
 
     /// Run the hardware check itself, bypassing the cache — the single
     /// place real/ideal SoCs are built and driven (used by
-    /// [`Pipeline::fps_stage`] and, uncached, by the FPS scaling
+    /// [`Pipeline::fps_stage`] and, uncached, by the FPS throughput
     /// benchmark).
+    ///
+    /// `_threads` is ignored; it goes in the next benchmark change.
     pub fn run_fps(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
+        _threads: usize,
         timeout: u64,
     ) -> Result<FpsReport, String> {
-        self.run_fps_watermarked(app, cpu, opt, obs, threads, timeout).map(|(r, _)| r)
+        self.run_fps_watermarked(app, cpu, opt, obs, timeout).map(|(r, _)| r)
     }
 
     /// [`run_fps`](Self::run_fps), also returning the lowest stack
     /// address the real SoC stored to (its whole-run high-water mark).
-    /// Deterministic: the parallel checker's pre-pass drives the real
-    /// SoC alone through the entire script.
     fn run_fps_watermarked(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
         timeout: u64,
     ) -> Result<(FpsReport, Option<u32>), String> {
         let sizes = app.sizes;
@@ -797,7 +796,7 @@ impl Pipeline {
         let state_size = sizes.state;
         let project = move |soc: &Soc| syssw::active_state(&soc.fram_bytes(0, 256), state_size);
         let script = app.fps_script();
-        let report = check_fps_parallel(&mut real, &mut emu, &cfg, &project, &script, obs, threads)
+        let report = check_fps_traced(&mut real, &mut emu, &cfg, &project, &script, obs)
             .map_err(|f| f.to_string())?;
         Ok((report, real.stack_high_water()))
     }
@@ -828,18 +827,20 @@ impl Pipeline {
     /// self-loop at the SoC level FPS just reached). The bound stage
     /// runs between them: static, cheap, and its certified WCET
     /// becomes the FPS cycle budget.
+    ///
+    /// `_threads` is ignored; it goes in the next benchmark change.
     pub fn verify_cell(
         &self,
         app: &AppPipeline,
         cpu: Cpu,
         opt: OptLevel,
         obs: &FpsObserver,
-        threads: usize,
+        _threads: usize,
     ) -> Result<CellReport, String> {
         let mut stages = self.software_stages(app, opt)?;
         let contract = self.contract_stage(app, cpu)?;
         let bound = self.bound_stage(app, cpu, opt)?;
-        let fps = self.fps_stage_bounded(app, cpu, opt, obs, threads, &bound)?;
+        let fps = self.fps_stage_bounded(app, cpu, opt, obs, 1, &bound)?;
         stages.push(bound);
         stages.push(fps);
         stages.push(contract);
@@ -849,8 +850,7 @@ impl Pipeline {
     }
 
     /// Verify an app across a platform matrix, fanning the independent
-    /// cells out over the thread budget (each cell then splits its
-    /// share across FPS segment workers).
+    /// cells out over the thread budget.
     pub fn verify_matrix(
         &self,
         app: &AppPipeline,
@@ -859,10 +859,8 @@ impl Pipeline {
         obs: &FpsObserver,
         threads: usize,
     ) -> Vec<(Cpu, Result<CellReport, String>)> {
-        let cases = cpus.len().max(1);
-        let threads_per_case = (threads / cases).max(1);
-        parallel_map(cases.min(threads.max(1)), cpus.to_vec(), move |_, cpu| {
-            (cpu, self.verify_cell(app, cpu, opt, obs, threads_per_case))
+        parallel_map(threads.min(cpus.len()), cpus.to_vec(), move |_, cpu| {
+            (cpu, self.verify_cell(app, cpu, opt, obs, 1))
         })
     }
 }

@@ -74,6 +74,22 @@ pub enum NodeKey {
     Fps(String, String, Cpu, OptLevel),
 }
 
+/// A key displays as the name of the stage it runs: the `[stage]`
+/// prefix of the node's errors, panics included.
+impl std::fmt::Display for NodeKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            NodeKey::Spec(..) => "speccheck",
+            NodeKey::Lockstep(..) => "lockstep",
+            NodeKey::Equivalence(..) => "equivalence",
+            NodeKey::CtCheck(..) => "ctcheck",
+            NodeKey::Contract(..) => "contract",
+            NodeKey::Bound(..) => "bound",
+            NodeKey::Fps(..) => "fps",
+        })
+    }
+}
+
 /// The daemon's shared state: cache, telemetry, app registry, budget.
 pub struct ServeCore {
     cache: CertCache,
@@ -325,15 +341,6 @@ impl ServeCore {
         let tel = self.tel.clone();
         let heartbeat = self.heartbeat;
         Box::new(move |deps| {
-            let stage = match &key {
-                NodeKey::Spec(..) => "speccheck",
-                NodeKey::Lockstep(..) => "lockstep",
-                NodeKey::Equivalence(..) => "equivalence",
-                NodeKey::CtCheck(..) => "ctcheck",
-                NodeKey::Contract(..) => "contract",
-                NodeKey::Bound(..) => "bound",
-                NodeKey::Fps(..) => "fps",
-            };
             let out = match &key {
                 NodeKey::Spec(..) => pipeline.speccheck_stage(&app),
                 NodeKey::Lockstep(..) => pipeline.lockstep_stage(&app),
@@ -349,14 +356,12 @@ impl ServeCore {
                         heartbeat_cycles: heartbeat,
                         cell: lane,
                     };
-                    // One thread per FPS node: on the serve path the
-                    // parallelism budget is spent *across* nodes.
                     pipeline.fps_stage_bounded(&app, *cpu, *opt, &obs, 1, bound)
                 }
             };
             // `run_stage` failures arrive `[stage]`-prefixed; failures
             // upstream of it (input derivation, compile errors) do not.
-            out.map_err(|e| if e.starts_with('[') { e } else { format!("[{stage}] {e}") })
+            out.map_err(|e| if e.starts_with('[') { e } else { format!("[{key}] {e}") })
         })
     }
 }

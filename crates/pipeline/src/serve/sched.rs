@@ -21,16 +21,20 @@
 //! Failure is data, not control flow: a failing node records its error
 //! and every transitive dependent is *skipped* with that same error
 //! string, verbatim (the pipeline has already `[stage]`-prefixed it),
-//! while unrelated subgraphs run to completion.
+//! while unrelated subgraphs run to completion. A node that panics
+//! fails the same way, with `[key] panicked: <payload>`, and the lock
+//! it may have poisoned stays usable, so a checker bug cannot wedge a
+//! batch.
 //!
 //! Exported gauges: `serve_queue_depth` (ready, unsubmitted nodes) and
 //! `serve_inflight` (nodes executing); counter:
 //! `serve_nodes_total{outcome=ok|failed|skipped}`.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Debug;
+use std::fmt::{Debug, Display};
 use std::hash::Hash;
-use std::sync::{Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use parfait_telemetry::metrics::Metrics;
 
@@ -72,6 +76,32 @@ struct ExecState<V> {
     done: usize,
 }
 
+/// Lock `m`, recovering the guard if a panicking holder poisoned it.
+/// The scheduler's state stays consistent across a node panic: node
+/// work runs outside the lock, and panics are caught before it is
+/// retaken.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run one node's work, turning a panic into `Err("[key] panicked: …")`
+/// so the node resolves and its dependents are skipped like after any
+/// other failure.
+fn run_node<K: Display, V>(
+    key: &K,
+    run: &NodeFn<'_, K, V>,
+    deps: &Deps<K, V>,
+) -> Result<V, String> {
+    catch_unwind(AssertUnwindSafe(|| run(deps))).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(format!("[{key}] panicked: {msg}"))
+    })
+}
+
 /// Run a DAG of nodes on a `threads`-wide pool, returning every node's
 /// result keyed by its `key`. Structural problems — duplicate keys,
 /// edges to unknown keys, dependency cycles — are reported as `Err`
@@ -82,7 +112,7 @@ pub fn execute<'a, K, V>(
     nodes: Vec<DagNode<'a, K, V>>,
 ) -> Result<HashMap<K, Result<V, String>>, String>
 where
-    K: Eq + Hash + Clone + Debug + Send + Sync,
+    K: Eq + Hash + Clone + Debug + Display + Send + Sync,
     V: Clone + Send,
 {
     let n = nodes.len();
@@ -148,7 +178,7 @@ where
     let cv = Condvar::new();
 
     parfait_parallel::scope_with(threads, metrics, |pool| {
-        let mut st = state.lock().unwrap();
+        let mut st = lock(&state);
         loop {
             while let Some(i) = st.ready.pop_front() {
                 st.running += 1;
@@ -167,7 +197,7 @@ where
                     // Dependencies are all Ok by construction (a failed
                     // dep skips this node instead of readying it).
                     let dep_vals = {
-                        let st = state.lock().unwrap();
+                        let st = lock(state);
                         Deps(
                             nodes[i]
                                 .deps
@@ -183,9 +213,9 @@ where
                                 .collect(),
                         )
                     };
-                    let result = (nodes[i].run)(&dep_vals);
+                    let result = run_node(&nodes[i].key, &nodes[i].run, &dep_vals);
                     outcome_counter(if result.is_ok() { "ok" } else { "failed" }).inc();
-                    let mut st = state.lock().unwrap();
+                    let mut st = lock(state);
                     st.running -= 1;
                     inflight.set(st.running as f64);
                     // Resolve this node, then cascade: a dependent whose
@@ -222,18 +252,18 @@ where
                     drop(st);
                     cv.notify_all();
                 });
-                st = state.lock().unwrap();
+                st = lock(state);
             }
             if st.done == n {
                 break;
             }
-            st = cv.wait(st).unwrap();
+            st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         queue_depth.set(0.0);
         inflight.set(0.0);
     });
 
-    let results = state.into_inner().unwrap().results;
+    let results = state.into_inner().unwrap_or_else(PoisonError::into_inner).results;
     Ok(nodes
         .into_iter()
         .zip(results)

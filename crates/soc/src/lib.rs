@@ -116,8 +116,7 @@ impl Firmware {
 ///
 /// The SoC is `Clone`: a snapshot is cheap because the read-only parts
 /// (ROM image, firmware) are behind `Arc` and everything else is plain
-/// data. The parallel FPS checker forks verification segments from such
-/// snapshots.
+/// data. The crash-safety sweeps fork one snapshot per power cut.
 #[derive(Clone)]
 pub struct Soc {
     /// The CPU core.

@@ -3,7 +3,7 @@
 //!
 //! A [`RunManifest`] answers "what produced this number?" for any bench
 //! row or CI artifact: which bin, which build, which env knobs, how
-//! many threads, whether the run succeeded — plus the full
+//! many threads on how many cores, whether the run succeeded — plus the full
 //! [`MetricsSnapshot`] of everything the process counted. It is plain
 //! canonical JSON (schema-versioned), parsed back by
 //! [`RunManifest::from_json`] so tooling like `cachestat
@@ -34,6 +34,9 @@ pub struct RunManifest {
     pub build_id: String,
     /// Worker threads the run used.
     pub threads: usize,
+    /// Cores available to the process (`available_parallelism`), so a
+    /// wall-clock number is never separated from the core count.
+    pub nproc: usize,
     /// Process exit status the run is about to report.
     pub exit_code: i32,
     /// Every [`crate::env::KNOBS`] entry and its value at capture time
@@ -55,6 +58,7 @@ impl RunManifest {
             bin: bin.to_string(),
             build_id: build_id(),
             threads,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             exit_code,
             env,
             metrics: metrics.snapshot(),
@@ -68,6 +72,7 @@ impl RunManifest {
             ("bin", Json::str(&self.bin)),
             ("build_id", Json::str(&self.build_id)),
             ("threads", Json::Int(self.threads as i64)),
+            ("nproc", Json::Int(self.nproc as i64)),
             ("exit_code", Json::Int(self.exit_code as i64)),
             (
                 "env",
@@ -118,6 +123,7 @@ impl RunManifest {
             bin: field_str("bin")?,
             build_id: field_str("build_id")?,
             threads: field_int("threads")? as usize,
+            nproc: field_int("nproc")? as usize,
             exit_code: field_int("exit_code")? as i32,
             env,
             metrics,

@@ -44,12 +44,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&cache_dir);
     let app = StdApp::Hasher.pipeline();
     let obs = FpsObserver::default();
-    let threads = parfait_parallel::default_threads();
 
     // Cold: every stage runs and mints a certificate into the cache.
     let pipeline = Pipeline::new(CertCache::at(cache_dir.clone()), Default::default());
     let t0 = Instant::now();
-    let cold = pipeline.verify_cell(&app, Cpu::Ibex, OptLevel::O2, &obs, threads).unwrap();
+    let cold = pipeline.verify_cell(&app, Cpu::Ibex, OptLevel::O2, &obs, 1).unwrap();
     let cold_secs = t0.elapsed().as_secs_f64();
     show("cold run", &cold, cold_secs);
 
@@ -57,7 +56,7 @@ fn main() {
     // finds every certificate on disk.
     let pipeline = Pipeline::new(CertCache::at(cache_dir.clone()), Default::default());
     let t0 = Instant::now();
-    let warm = pipeline.verify_cell(&app, Cpu::Ibex, OptLevel::O2, &obs, threads).unwrap();
+    let warm = pipeline.verify_cell(&app, Cpu::Ibex, OptLevel::O2, &obs, 1).unwrap();
     let warm_secs = t0.elapsed().as_secs_f64();
     show("warm run", &warm, warm_secs);
 

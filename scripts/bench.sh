@@ -1,6 +1,6 @@
 #!/bin/sh
-# Benchmarks. Emits BENCH_fps.json (FPS-throughput: sequential oracle
-# vs. the snapshot-fork parallel checker over the Table 4 matrix),
+# Benchmarks. Emits BENCH_fps.json (FPS throughput over the Table 4
+# matrix: one case at a time vs. the matrix fan-out),
 # BENCH_pipeline.json (proof pipeline: cold vs. warm verification via
 # the content-addressed certificate cache), and BENCH_lint.json (static
 # constant-time lint wall time, the contrast to a cold FPS run), and
@@ -29,7 +29,7 @@ THREADS="${THREADS:-$(nproc 2>/dev/null || echo 4)}"
 # result is never separated from the conditions that generated it.
 ./target/release/bench_fps $QUICK --threads "$THREADS" \
     --json BENCH_fps.json --metrics BENCH_fps.manifest.json
-./target/release/bench_pipeline $QUICK --threads "$THREADS" \
+./target/release/bench_pipeline $QUICK \
     --json BENCH_pipeline.json --metrics BENCH_pipeline.manifest.json
 ./target/release/bench_lint $QUICK \
     --json BENCH_lint.json --metrics BENCH_lint.manifest.json

@@ -1,8 +1,8 @@
 //! End-to-end checks on the adversary catalog (DESIGN.md §12): the
 //! taxonomy has the promised shape, representative mutants die at
 //! exactly the stage the design claims, clean controls survive, and
-//! the parallel FPS checker renders byte-identical verdicts on mutants
-//! regardless of the thread budget.
+//! FPS verdicts on mutants are byte-identical regardless of the
+//! catalog's fan-out width.
 //!
 //! The full catalog (including the multi-second ctcheck and
 //! timeout-kill classes) runs under `mutatest` against the ratcheted
@@ -10,7 +10,7 @@
 //! under plain `cargo test` so a checker regression surfaces even
 //! without the baseline gate.
 
-use parfait_adversary::{catalog, controls, run_mutant, Level, Mutation};
+use parfait_adversary::{catalog, controls, run_catalog, run_mutant, Level, Mutation};
 use parfait_pipeline::{CertCache, Pipeline, StageKind};
 use parfait_telemetry::Telemetry;
 
@@ -95,34 +95,34 @@ fn representative_mutants_die_at_their_designed_stage() {
 fn clean_token_control_survives_all_stages() {
     let p = pipeline();
     let control = controls().into_iter().find(|c| c.class == "clean-token").unwrap();
-    let r = run_mutant(&p, &control, 2);
+    let r = run_mutant(&p, &control, 1);
     assert!(r.killed_by.is_none(), "clean control killed: {} ({})", r.verdict(), r.detail);
 }
 
-/// Satellite guard: adversary mutants must produce *byte-identical*
-/// verdicts from the sequential oracle and the parallel FPS checker —
-/// same killing stage, same error (modulo wall time), which also pins
-/// the lowest-failing-segment selection of the parallel checker.
+/// FPS-killed mutants must produce byte-identical verdicts whether the
+/// catalog runs them one at a time or fanned out across the pool — same
+/// killing stage, same error (modulo wall time).
 #[test]
 fn fps_killed_mutants_are_thread_invariant() {
-    // Force segment cuts at every quiescent boundary so even these
-    // short scripts genuinely fork (same knob as tests/fps_parallel.rs).
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
     let p = pipeline();
-    for class in [
+    let muts: Vec<Mutation> = [
         "cc-syssw-reg-clobber",
         "isa-load-sign-extend",
         "soc-journal-write-drop",
         "emu-response-desync",
-    ] {
-        let m = by_class(class);
-        let seq = run_mutant(&p, &m, 1);
-        let par = run_mutant(&p, &m, 8);
-        assert_eq!(seq.killed_by, Some(StageKind::Fps), "{class} seq: {}", seq.detail);
-        assert_eq!(seq.killed_by, par.killed_by, "{class}: stage differs across thread budgets");
+    ]
+    .into_iter()
+    .map(by_class)
+    .collect();
+    let seq = run_catalog(&p, &muts, 1);
+    let par = run_catalog(&p, &muts, 8);
+    for ((m, s), f) in muts.iter().zip(&seq).zip(&par) {
+        let class = m.class;
+        assert_eq!(s.killed_by, Some(StageKind::Fps), "{class} seq: {}", s.detail);
+        assert_eq!(s.killed_by, f.killed_by, "{class}: stage differs across thread budgets");
         assert_eq!(
-            strip_wall(&seq.detail),
-            strip_wall(&par.detail),
+            strip_wall(&s.detail),
+            strip_wall(&f.detail),
             "{class}: verdicts differ between 1 and 8 threads"
         );
     }

@@ -31,7 +31,7 @@ fn run_fps_with(
     patch: impl FnOnce(String) -> String,
     script: &[HostOp],
 ) -> Result<parfait_knox2::FpsReport, FpsError> {
-    TokenFps::build(app_source, syssw_src, None, patch).run(script, 1).result.map_err(|f| f.error)
+    TokenFps::build(app_source, syssw_src, None, patch).run(script).result.map_err(|f| f.error)
 }
 
 // --- baseline -----------------------------------------------------------
@@ -150,7 +150,7 @@ fn variable_latency_div_on_secret_caught() {
     // Spec must match the buggy source (the bug here is *hardware*
     // latency, not functional behaviour).
     let fps = TokenFps::build(&buggy, None, Some(&buggy), |a| a);
-    let err = fps.run(&[HostOp::Command(cmd(3, 5))], 1).result.map_err(|f| f.error).unwrap_err();
+    let err = fps.run(&[HostOp::Command(cmd(3, 5))]).result.map_err(|f| f.error).unwrap_err();
     match err {
         FpsError::TraceDivergence { .. } | FpsError::Leak { .. } => {}
         other => panic!("expected latency divergence, got {other}"),

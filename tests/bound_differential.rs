@@ -9,7 +9,7 @@
 //!   whole dual-world script, boot included);
 //! * certified worst-case stack depth ≥ the observed high-water mark
 //!   (the lowest stack address the real SoC stored to, recorded by
-//!   `Soc::stack_high_water` during the FPS pre-pass).
+//!   `Soc::stack_high_water` during the FPS run).
 //!
 //! A violation of either is a soundness bug in the static analysis —
 //! there is no tolerance, slack may only be positive. The test also

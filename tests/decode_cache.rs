@@ -2,10 +2,10 @@
 //! (`parfait_riscv::predecode`): a SoC running from the shared decode
 //! cache must be cycle-for-cycle identical to one decoding live off
 //! the bus — same wire outputs, same FPS verdicts and statistics — at
-//! every checker thread count, and SoCs instantiated from the same
-//! firmware image must share one cache (the mutation harness builds
-//! hundreds of worlds per image; re-decoding the ROM for each would
-//! swamp the runs it benchmarks).
+//! every fan-out width, and SoCs instantiated from the same firmware
+//! image must share one cache (the mutation harness builds hundreds of
+//! worlds per image; re-decoding the ROM for each would swamp the runs
+//! it benchmarks).
 
 mod common;
 
@@ -15,7 +15,8 @@ use common::{cfg, cmd, project, standard_script, token_fps, RunOutcome, TokenFps
 use parfait_cores::{Core, IbexCore};
 use parfait_hsms::platform::{make_soc, Cpu};
 use parfait_hsms::syssw;
-use parfait_knox2::{check_fps_parallel, check_fps_traced, CircuitEmulator, FpsObserver, HostOp};
+use parfait_knox2::{check_fps_traced, CircuitEmulator, FpsObserver, HostOp};
+use parfait_parallel::parallel_map;
 use parfait_riscv::predecode::DecodeCache;
 use parfait_rtl::Circuit;
 use parfait_soc::{Firmware, Soc, ROM_BASE};
@@ -32,7 +33,7 @@ fn make_soc_uncached(fw: Firmware, initial_state: &[u8]) -> Soc {
 
 /// One FPS run over explicitly cached or uncached worlds (both the
 /// real SoC and the emulator's dummy SoC use the same mode).
-fn run_fps(fps: &TokenFps, cached: bool, threads: usize, script: &[HostOp]) -> RunOutcome {
+fn run_fps(fps: &TokenFps, cached: bool, script: &[HostOp]) -> RunOutcome {
     let (mut real, dummy) = if cached {
         (
             make_soc(Cpu::Ibex, fps.fw.clone(), &fps.secret_state),
@@ -45,12 +46,8 @@ fn run_fps(fps: &TokenFps, cached: bool, threads: usize, script: &[HostOp]) -> R
         )
     };
     let mut emu = CircuitEmulator::new(dummy, &fps.spec, fps.secret_state.clone(), common::CMD);
-    let obs = FpsObserver::default();
-    let result = if threads <= 1 {
-        check_fps_traced(&mut real, &mut emu, &cfg(), &project, script, &obs)
-    } else {
-        check_fps_parallel(&mut real, &mut emu, &cfg(), &project, script, &obs, threads)
-    };
+    let result =
+        check_fps_traced(&mut real, &mut emu, &cfg(), &project, script, &FpsObserver::default());
     RunOutcome {
         result,
         final_state: project(&real),
@@ -72,23 +69,44 @@ fn assert_identical(cached: &RunOutcome, fresh: &RunOutcome, label: &str) {
     assert_eq!(cached.spec_responses, fresh.spec_responses, "{label}: spec responses");
 }
 
+/// Cached runs at every fan-out width: the matrix fan-out runs many
+/// worlds from one image at once, all reading the one shared predecoded
+/// cache, and each must still match a fresh-decode run.
 #[test]
 fn cached_fps_matches_fresh_decode_at_all_thread_counts() {
-    // Segment at every quiescent boundary so the parallel runs
-    // exercise multi-segment forking of cache-sharing snapshots.
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
     let fps = token_fps();
-    let script = standard_script();
-    for threads in [1, 2, 8] {
-        let cached = run_fps(fps, true, threads, &script);
-        let fresh = run_fps(fps, false, threads, &script);
-        assert_identical(&cached, &fresh, &format!("standard@{threads}"));
+    // A partial command split across two Garbage ops leaves bytes
+    // pending at an op boundary; the completed garbage command's
+    // response must still bind to the spec.
+    let garbage = cmd(0x77, 0xABCD);
+    let split_garbage = vec![
+        HostOp::Command(cmd(3, 5)),
+        HostOp::Idle(500),
+        HostOp::Garbage(garbage[..2].to_vec()),
+        HostOp::Garbage(garbage[2..].to_vec()),
+        HostOp::Command(cmd(2, 1)),
+        HostOp::Idle(1),
+        HostOp::Command(cmd(3, 0)),
+    ];
+    for (label, script) in [
+        ("standard", standard_script()),
+        ("split-garbage", split_garbage),
+        ("empty", vec![]),
+        ("idle-only", vec![HostOp::Idle(2_000)]),
+    ] {
+        let fresh = run_fps(fps, false, &script);
+        for threads in [1, 2, 8] {
+            let cached =
+                parallel_map(threads, vec![(); threads], |_, ()| run_fps(fps, true, &script));
+            for (i, run) in cached.iter().enumerate() {
+                assert_identical(run, &fresh, &format!("{label}@{threads}#{i}"));
+            }
+        }
     }
 }
 
 #[test]
 fn cached_fps_matches_fresh_decode_on_hostile_io() {
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
     let fps = token_fps();
     // Garbage and idle between commands: boundaries land mid-frame, so
     // cached and uncached runs must agree even about partial traffic.
@@ -100,11 +118,9 @@ fn cached_fps_matches_fresh_decode_on_hostile_io() {
         HostOp::Garbage(vec![1]),
         HostOp::Command(cmd(3, 0)),
     ];
-    for threads in [1, 2, 8] {
-        let cached = run_fps(fps, true, threads, &script);
-        let fresh = run_fps(fps, false, threads, &script);
-        assert_identical(&cached, &fresh, &format!("hostile@{threads}"));
-    }
+    let cached = run_fps(fps, true, &script);
+    let fresh = run_fps(fps, false, &script);
+    assert_identical(&cached, &fresh, "hostile");
 }
 
 #[test]

@@ -1,44 +1,39 @@
-//! Differential tests: the parallel FPS checker must be observationally
-//! identical to the sequential oracle — same reports on passing scripts
-//! (modulo wall/cpu timing), byte-identical `FpsError`s (same cycle,
-//! op index, everything) with the same partial statistics on failing
-//! ones — at 1, 2, and 8 threads.
-//!
-//! `PARFAIT_SEGMENT_CYCLES=1` forces a segment cut at every quiescent
-//! op boundary, so even the small token-HSM scripts exercise real
-//! multi-segment forking.
+//! Differential tests for FPS under the matrix fan-out: `verify_matrix`
+//! and `run_catalog` run many sequential FPS checks at once on the
+//! `parfait_parallel` pool, sharing firmware images, predecoded
+//! instruction caches and the process-wide memos. Every concurrent run
+//! must be observationally identical to the same check run alone —
+//! same reports on passing scripts (modulo wall/cpu timing),
+//! byte-identical `FpsError`s (same cycle, op index, everything) with
+//! the same partial statistics on failing ones — at fan-out widths 2
+//! and 8.
 
 mod common;
 
 use common::{cmd, standard_script, token_fps, RunOutcome, TokenFps, TOKEN_LC};
 use parfait_knox2::{FpsError, HostOp};
+use parfait_parallel::parallel_map;
 
 const THREADS: [usize; 2] = [2, 8];
 
-fn setup() {
-    // Same value from every test, so concurrent setters are benign.
-    std::env::set_var("PARFAIT_SEGMENT_CYCLES", "1");
-}
-
 /// Reports must agree on everything except wall/cpu timing.
-fn assert_same_pass(seq: &RunOutcome, par: &RunOutcome, label: &str) {
-    let a = seq.result.as_ref().unwrap_or_else(|e| panic!("{label}: oracle failed: {e}"));
-    let b = par.result.as_ref().unwrap_or_else(|e| panic!("{label}: parallel failed: {e}"));
+fn assert_same_pass(alone: &RunOutcome, fanned: &RunOutcome, label: &str) {
+    let a = alone.result.as_ref().unwrap_or_else(|e| panic!("{label}: lone run failed: {e}"));
+    let b = fanned.result.as_ref().unwrap_or_else(|e| panic!("{label}: fanned run failed: {e}"));
     assert_eq!(a.cycles, b.cycles, "{label}: cycles");
     assert_eq!(a.commands, b.commands, "{label}: commands");
     assert_eq!(a.spec_queries, b.spec_queries, "{label}: spec queries");
-    // On success both checkers leave the caller's worlds in the same
-    // final states.
-    assert_eq!(seq.final_state, par.final_state, "{label}: real-world final state");
-    assert_eq!(seq.spec_state, par.spec_state, "{label}: ideal-world spec state");
-    assert_eq!(seq.spec_responses, par.spec_responses, "{label}: spec responses");
+    // On success both runs leave their worlds in the same final states.
+    assert_eq!(alone.final_state, fanned.final_state, "{label}: real-world final state");
+    assert_eq!(alone.spec_state, fanned.spec_state, "{label}: ideal-world spec state");
+    assert_eq!(alone.spec_responses, fanned.spec_responses, "{label}: spec responses");
 }
 
 /// Failures must be byte-identical, including the partial statistics
 /// accumulated up to the failure point.
-fn assert_same_fail(seq: &RunOutcome, par: &RunOutcome, label: &str) -> FpsError {
-    let a = seq.result.as_ref().err().unwrap_or_else(|| panic!("{label}: oracle passed"));
-    let b = par.result.as_ref().err().unwrap_or_else(|| panic!("{label}: parallel passed"));
+fn assert_same_fail(alone: &RunOutcome, fanned: &RunOutcome, label: &str) -> FpsError {
+    let a = alone.result.as_ref().err().unwrap_or_else(|| panic!("{label}: lone run passed"));
+    let b = fanned.result.as_ref().err().unwrap_or_else(|| panic!("{label}: fanned run passed"));
     assert_eq!(a.error, b.error, "{label}: error");
     assert_eq!(a.partial.cycles, b.partial.cycles, "{label}: partial cycles");
     assert_eq!(a.partial.commands, b.partial.commands, "{label}: partial commands");
@@ -46,20 +41,27 @@ fn assert_same_fail(seq: &RunOutcome, par: &RunOutcome, label: &str) -> FpsError
     a.error.clone()
 }
 
+/// `threads` copies of the same check, run concurrently on the pool.
+fn fanned(fps: &TokenFps, script: &[HostOp], threads: usize) -> Vec<RunOutcome> {
+    parallel_map(threads, vec![(); threads], |_, ()| fps.run(script))
+}
+
 fn differential_pass(fps: &TokenFps, script: &[HostOp], label: &str) {
-    let seq = fps.run(script, 1);
+    let alone = fps.run(script);
     for t in THREADS {
-        let par = fps.run(script, t);
-        assert_same_pass(&seq, &par, &format!("{label}@{t}"));
+        for (i, run) in fanned(fps, script, t).iter().enumerate() {
+            assert_same_pass(&alone, run, &format!("{label}@{t}#{i}"));
+        }
     }
 }
 
 fn differential_fail(fps: &TokenFps, script: &[HostOp], label: &str) -> FpsError {
-    let seq = fps.run(script, 1);
+    let alone = fps.run(script);
     let mut err = None;
     for t in THREADS {
-        let par = fps.run(script, t);
-        err = Some(assert_same_fail(&seq, &par, &format!("{label}@{t}")));
+        for (i, run) in fanned(fps, script, t).iter().enumerate() {
+            err = Some(assert_same_fail(&alone, run, &format!("{label}@{t}#{i}")));
+        }
     }
     err.unwrap()
 }
@@ -68,19 +70,16 @@ fn differential_fail(fps: &TokenFps, script: &[HostOp], label: &str) -> FpsError
 
 #[test]
 fn clean_standard_script_is_identical() {
-    setup();
     let fps = token_fps();
     differential_pass(fps, &standard_script(), "standard");
 }
 
 #[test]
 fn garbage_and_idle_boundaries_are_identical() {
-    setup();
     let fps = token_fps();
     // A partial command split across two Garbage ops leaves bytes
-    // pending at an op boundary — the producer must *not* cut a segment
-    // there (the framing is mid-command), and the completed garbage
-    // command's response must still bind to the spec.
+    // pending at an op boundary; the completed garbage command's
+    // response must still bind to the spec.
     let garbage = cmd(0x77, 0xABCD);
     let script = vec![
         HostOp::Command(cmd(3, 5)),
@@ -96,7 +95,6 @@ fn garbage_and_idle_boundaries_are_identical() {
 
 #[test]
 fn trivial_scripts_are_identical() {
-    setup();
     let fps = token_fps();
     differential_pass(fps, &[], "empty");
     differential_pass(fps, &[HostOp::Idle(2_000)], "idle-only");
@@ -106,7 +104,6 @@ fn trivial_scripts_are_identical() {
 
 #[test]
 fn secret_branch_divergence_is_identical() {
-    setup();
     let buggy = TOKEN_LC.replace(
         "u32 secret = ld32(state);",
         "u32 secret = ld32(state); if (secret > 1000) { u32 w = 0; for (u32 i = 0; i < 50; i = i + 1) { w = w + i; } st32(resp + 1, w); }",
@@ -122,7 +119,6 @@ fn secret_branch_divergence_is_identical() {
 
 #[test]
 fn compiler_timing_divergence_is_identical() {
-    setup();
     let patch = |asm: String| {
         asm.replacen("handle:", "handle:\n    lbu t0, 0(a0)\n    beqz t0, 12\n    nop\n    nop", 1)
     };
@@ -136,7 +132,6 @@ fn compiler_timing_divergence_is_identical() {
 
 #[test]
 fn variable_latency_divergence_is_identical() {
-    setup();
     // `secret / (arg|1)`: divider latency depends on the secret. The
     // spec is built from the same buggy source (the bug is *hardware*
     // latency, not functional behavior).
@@ -155,7 +150,6 @@ fn variable_latency_divergence_is_identical() {
 
 #[test]
 fn stack_overflow_fault_is_identical() {
-    setup();
     let buggy = TOKEN_LC
         .replace("u32 secret = ld32(state);", "u32 secret = ld32(state) + burn(400);")
         + "
@@ -179,10 +173,9 @@ fn stack_overflow_fault_is_identical() {
 
 #[test]
 fn io_encoding_mismatch_is_identical() {
-    setup();
     // write_response sends the bytes in reverse order. Both circuit
     // instances share the bug, so their traces agree — the end-of-script
-    // spec binding catches it, in both checkers, identically.
+    // spec binding catches it, in every run, identically.
     let buggy_syssw = parfait_hsms::syssw::syssw_source(common::STATE, common::CMD, common::RESP)
         .replace(
             "void write_response(u8* resp) {\n    for (u32 i = 0; i < 5; i = i + 1) {\n        ss_write_byte(resp[i]);",

@@ -138,7 +138,7 @@ fn matrix_view_renders_a_real_verification_without_a_tty() {
     // emits several, each carrying this lane's cell id.
     let obs = FpsObserver { telemetry: tel.clone(), heartbeat_cycles: 1_000, cell };
     let outcome =
-        pipeline.fps_stage(&app, Cpu::Ibex, OptLevel::O2, &obs, 1).expect("token app verifies");
+        pipeline.fps_stage(&app, Cpu::Ibex, OptLevel::O2, &obs).expect("token app verifies");
     view.set_stage(cell, "fps", outcome.cache_hit);
     view.finish_lane(cell, true);
     tel.finish();
@@ -167,6 +167,7 @@ fn run_manifest_round_trips_with_env_and_metrics() {
     let manifest = RunManifest::capture("observability-test", 4, 0, &metrics);
     assert_eq!(manifest.bin, "observability-test");
     assert_eq!(manifest.threads, 4);
+    assert!(manifest.nproc >= 1, "core count recorded");
     assert!(manifest.build_id.starts_with("parfait-"), "{}", manifest.build_id);
     // Every env knob is present in the capture (set or explicitly null).
     for knob in parfait_telemetry::env::KNOBS {
@@ -179,6 +180,7 @@ fn run_manifest_round_trips_with_env_and_metrics() {
     assert_eq!(back.bin, manifest.bin);
     assert_eq!(back.build_id, manifest.build_id);
     assert_eq!(back.threads, manifest.threads);
+    assert_eq!(back.nproc, manifest.nproc);
     assert_eq!(back.exit_code, manifest.exit_code);
     assert_eq!(back.env, manifest.env);
     assert_eq!(back.metrics, manifest.metrics);

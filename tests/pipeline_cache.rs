@@ -162,7 +162,7 @@ fn private_dir(name: &str) -> PathBuf {
 
 fn verify(pipeline: &Pipeline, app: &AppPipeline) -> parfait_pipeline::CellReport {
     pipeline
-        .verify_cell(app, Cpu::Ibex, OptLevel::O2, &FpsObserver::default(), 2)
+        .verify_cell(app, Cpu::Ibex, OptLevel::O2, &FpsObserver::default(), 1)
         .expect("token app verifies")
 }
 

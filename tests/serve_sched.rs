@@ -3,7 +3,8 @@
 //! shared node computed exactly once, and at the service level a
 //! failing stage fails exactly the requests that depend on it —
 //! carrying the `[stage]`-prefixed error in the response frame — while
-//! unrelated requests complete.
+//! unrelated requests complete. A panicking node fails the same way
+//! instead of hanging the batch.
 
 mod common;
 
@@ -164,6 +165,44 @@ fn random_failures_skip_exactly_the_transitive_dependents() {
             }
         }
     }
+}
+
+/// A stage that panics must fail its node and skip its dependents like
+/// any other failure, not wedge the batch: the coordinator must return.
+#[test]
+fn panicking_node_fails_its_dependents_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    // On its own thread, so a hang fails the test instead of stalling
+    // the whole binary.
+    let worker = std::thread::spawn(move || {
+        let nodes: Vec<DagNode<String, u64>> = vec![
+            DagNode {
+                key: "root".into(),
+                deps: vec![],
+                run: Box::new(|_: &Deps<String, u64>| panic!("checker bug")),
+            },
+            DagNode {
+                key: "child".into(),
+                deps: vec!["root".into()],
+                run: Box::new(|_: &Deps<String, u64>| Ok(1)),
+            },
+            DagNode {
+                key: "island".into(),
+                deps: vec![],
+                run: Box::new(|_: &Deps<String, u64>| Ok(2)),
+            },
+        ];
+        tx.send(execute(2, &Metrics::new(), nodes)).ok();
+    });
+    let results = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a panicking node must not hang the scheduler")
+        .expect("valid DAG executes");
+    worker.join().expect("execute returns instead of unwinding");
+    let expected = Err("[root] panicked: checker bug".to_string());
+    assert_eq!(results["root"], expected);
+    assert_eq!(results["child"], expected, "the dependent is skipped with the panic's error");
+    assert_eq!(results["island"], Ok(2), "the independent node still completes");
 }
 
 fn private_dir(name: &str) -> PathBuf {
